@@ -201,11 +201,11 @@ fn bench_services(c: &mut Criterion) {
 
 fn bench_sim_engine(c: &mut Criterion) {
     use nb_net::runtime::{Actor, Context, Incoming};
-    use nb_net::{ClockProfile, Sim};
+    use nb_net::{ClockProfile, ShardedSim};
     use std::time::Duration;
 
-    // A pair of actors bouncing a datagram back and forth: measures raw
-    // engine event throughput including codec round-trips.
+    // A pair of actors bouncing a datagram back and forth 10^4 times:
+    // measures raw engine event throughput including codec round-trips.
     struct Bouncer {
         peer: Option<NodeId>,
     }
@@ -218,7 +218,11 @@ fn bench_sim_engine(c: &mut Criterion) {
             }
         }
         fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-            if let Incoming::Datagram { from, msg: Message::Ping { nonce, .. }, .. } = event {
+            let Incoming::Datagram { from, msg, .. } = event else { return };
+            if let Message::Ping { nonce, .. } = *msg.message() {
+                if nonce >= 10_000 {
+                    return;
+                }
                 let ping = Message::Ping {
                     nonce: nonce + 1,
                     sent_at: 0,
@@ -254,9 +258,10 @@ fn bench_sim_engine(c: &mut Criterion) {
         g.throughput(Throughput::Elements(timers));
         g.bench_function(&format!("schedule_pop_{timers}"), |b| {
             b.iter(|| {
-                let mut sim = Sim::with_clock_profile(1, ClockProfile::perfect());
+                let mut sim = ShardedSim::with_clock_profile(1, ClockProfile::perfect());
                 sim.add_node("t", RealmId(0), Box::new(TimerFlood { timers }));
-                let processed = sim.run_until_idle(timers + 16);
+                sim.run_for(Duration::from_micros(timers + 1));
+                let processed = sim.events_processed();
                 assert!(processed >= timers);
                 processed
             })
@@ -266,12 +271,13 @@ fn bench_sim_engine(c: &mut Criterion) {
 
     c.bench_function("sim_engine_10k_events", |b| {
         b.iter(|| {
-            let mut sim = Sim::with_clock_profile(1, ClockProfile::perfect());
+            let mut sim = ShardedSim::with_clock_profile(1, ClockProfile::perfect());
             sim.network_mut().intra_realm_spec =
                 nb_net::LinkSpec::lan().with_loss(0.0).with_jitter(Duration::ZERO);
             let a = sim.add_node("a", RealmId(0), Box::new(Bouncer { peer: None }));
             sim.add_node("b", RealmId(0), Box::new(Bouncer { peer: Some(a) }));
-            sim.run_until_idle(10_000)
+            sim.run_for(Duration::from_secs(60));
+            sim.events_processed()
         })
     });
 }

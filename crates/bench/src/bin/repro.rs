@@ -700,14 +700,6 @@ fn run_bench_cmd(args: &Args) {
         report.events_per_sec_parallel(),
         report.cores
     );
-    println!(
-        "hot path ({} events): legacy layout {:.0} ns/event, slab layout {:.0} ns/event \
-         — {:.2}x",
-        report.hot_path.events,
-        report.hot_path.legacy_ns_per_event,
-        report.hot_path.slab_ns_per_event,
-        report.hot_path.speedup()
-    );
     print_shard_scaling(&report.shard_scaling);
     println!(
         "scale probe: {} brokers / {} entities / {} subscriptions over {} region(s) — \

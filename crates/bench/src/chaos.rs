@@ -33,7 +33,7 @@ use nb_discovery::{
     DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, ResponsePolicy, RetryPolicy,
 };
 use nb_net::{
-    ChaosProfile, ChaosTargets, ClockProfile, FaultPlan, LinkSpec, PacketFaults, Sim,
+    ChaosProfile, ChaosTargets, ClockProfile, FaultPlan, LinkSpec, PacketFaults, ShardedSim,
 };
 use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
 
@@ -49,7 +49,7 @@ const GEN_HORIZON: Duration = Duration::from_secs(90);
 /// The built campaign testbed.
 pub struct ChaosDeployment {
     /// The simulator (owns every actor).
-    pub sim: Sim,
+    pub sim: ShardedSim,
     /// The broker discovery node.
     pub bdn: NodeId,
     /// The six brokers.
@@ -65,7 +65,7 @@ pub struct ChaosDeployment {
 /// restartable node gets a respawn factory so `lose_state` restarts
 /// rebuild it from configuration alone.
 pub fn build_deployment(seed: u64) -> ChaosDeployment {
-    let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0005);
     sim.network_mut().inter_realm_spec =
         LinkSpec::wan(Duration::from_millis(12)).with_loss(0.001);

@@ -43,7 +43,7 @@ use nb_discovery::{
     FederationStats, ResponsePolicy, RetryPolicy,
 };
 use nb_net::{
-    ChaosProfile, ChaosTargets, ClockProfile, FaultPlan, LinkSpec, Sim,
+    ChaosProfile, ChaosTargets, ClockProfile, FaultPlan, LinkSpec, ShardedSim,
 };
 use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
 
@@ -65,7 +65,7 @@ const MAX_CONVERGENCE_ROUNDS: u64 = 30;
 /// The built campaign testbed.
 pub struct FederationDeployment {
     /// The simulator (owns every actor).
-    pub sim: Sim,
+    pub sim: ShardedSim,
     /// The three federated BDNs.
     pub bdns: Vec<NodeId>,
     /// The six brokers.
@@ -83,7 +83,7 @@ pub struct FederationDeployment {
 /// factory so `lose_state` restarts rebuild it from configuration
 /// alone.
 pub fn build_deployment(seed: u64) -> FederationDeployment {
-    let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0005);
     sim.network_mut().inter_realm_spec =
         LinkSpec::wan(Duration::from_millis(12)).with_loss(0.001);

@@ -10,7 +10,6 @@
 pub mod chaos;
 pub mod codec;
 pub mod federation;
-pub mod hotpath;
 pub mod parallel;
 pub mod report;
 pub mod routing;
@@ -439,7 +438,7 @@ pub fn ablation_topology(seed: u64, runs: usize) -> Vec<(&'static str, f64, f64,
 /// model. Returns `(size_bytes, compressed, fragments, virtual_ms)`.
 pub fn ablation_bulk(seed: u64) -> Vec<(usize, bool, usize, f64)> {
     use nb_broker::{BrokerActor, BrokerConfig, PubSubClient};
-    use nb_net::{ClockProfile, LinkSpec, Sim};
+    use nb_net::{ClockProfile, LinkSpec, ShardedSim};
     use nb_services::compress::compress_payload;
     use nb_services::fragment::fragment_payload;
     use nb_wire::{RealmId, Topic, TopicFilter, Wire};
@@ -447,7 +446,7 @@ pub fn ablation_bulk(seed: u64) -> Vec<(usize, bool, usize, f64)> {
     let mut rows = Vec::new();
     for size in [64 * 1024usize, 256 * 1024, 1024 * 1024] {
         for compressed in [false, true] {
-            let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+            let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
             sim.network_mut().inter_realm_spec =
                 LinkSpec::wan(Duration::from_millis(20)).with_loss(0.0);
             let a = sim.add_node(

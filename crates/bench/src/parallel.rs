@@ -137,9 +137,9 @@ impl ParallelExecutor {
     }
 
     /// Intra-run sharded mode: run `i` clones `builder`, swaps in seed
-    /// `seed_root.wrapping_add(i)` and builds on the
-    /// conservative-lookahead sharded engine with `shard_workers` event
-    /// workers and `shards` LP groups (`0` = one group per worker).
+    /// `seed_root.wrapping_add(i)`, builds it and runs its discovery
+    /// with `shard_workers` event workers and `shards` LP groups (`0` =
+    /// one group per worker).
     /// Returns the outcomes in run order, the total engine events, and
     /// an FNV-1a fold of every run's engine digest — the value the
     /// shard-scaling gate compares across worker counts, which must be
@@ -155,7 +155,11 @@ impl ParallelExecutor {
         let results = self.run(runs, |i| {
             let mut b = builder.clone();
             b.seed = seed_root.wrapping_add(i as u64);
-            let mut scenario = b.build_sharded(shard_workers, shards);
+            let mut scenario = b.build();
+            scenario.sim.set_workers(shard_workers);
+            if shards > 0 {
+                scenario.sim.set_shards(shards);
+            }
             let outcome = scenario.run_discovery_once();
             (outcome, scenario.sim.events_processed(), scenario.digest())
         });

@@ -13,11 +13,7 @@ use nb_broker::TopologyKind;
 use nb_discovery::scenario::ScenarioBuilder;
 use nb_net::wan::{BLOOMINGTON, CARDIFF, FSU, NCSA, UMN};
 
-use crate::hotpath::{run_hotpath_bench, HotPathBench};
 use crate::parallel::{seeded, ParallelExecutor};
-
-/// Events each hot-path loop processes when `repro bench` runs.
-pub const HOTPATH_EVENTS: u64 = 400_000;
 
 /// One figure workload timed serial vs parallel.
 #[derive(Debug, Clone)]
@@ -110,8 +106,6 @@ pub struct BenchReport {
     pub figures: Vec<FigureBench>,
     /// Intra-run shard-scaling A/B on the sharded engine.
     pub shard_scaling: ShardScaling,
-    /// Isolated old-vs-new event-loop layout comparison.
-    pub hot_path: HotPathBench,
     /// The scale probe: one small `repro scale` tier driven end to end
     /// (the full campaign lives behind `repro scale`).
     pub scale: ScaleProbe,
@@ -269,14 +263,6 @@ impl BenchReport {
         }
         out.push_str("    ]},\n");
         out.push_str(&format!(
-            "  \"hot_path\": {{\"events\": {}, \"legacy_ns_per_event\": {:.1}, \
-             \"slab_ns_per_event\": {:.1}, \"speedup\": {:.2}}},\n",
-            self.hot_path.events,
-            self.hot_path.legacy_ns_per_event,
-            self.hot_path.slab_ns_per_event,
-            self.hot_path.speedup(),
-        ));
-        out.push_str(&format!(
             "  \"scale\": {{\"regions\": {}, \"events\": {}, \"digest\": \"{:016x}\", \
              \"attached\": {}, \"events_per_sec\": {:.0}}}\n",
             self.scale.regions,
@@ -407,7 +393,6 @@ pub fn run_bench(seed: u64, runs: usize, workers: Option<usize>) -> BenchReport 
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let shard_scaling = run_shard_scaling(seed, runs);
-    let hot_path = run_hotpath_bench(HOTPATH_EVENTS);
     let scale = run_scale_probe(seed);
     let mode = if serial_fallback { "serial-fallback" } else { "parallel" };
     BenchReport {
@@ -418,7 +403,6 @@ pub fn run_bench(seed: u64, runs: usize, workers: Option<usize>) -> BenchReport 
         mode,
         figures,
         shard_scaling,
-        hot_path,
         scale,
     }
 }

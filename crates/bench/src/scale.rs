@@ -18,8 +18,8 @@
 //! A/B wall-time columns go to stdout only.
 //!
 //! The A/B suite times the slab sweep's three named structures against
-//! their pre-fix O(n) forms at campaign population, mirroring the
-//! [`crate::hotpath`] idiom (same logical op, layouts differ):
+//! their pre-fix O(n) forms at campaign population (same logical op,
+//! layouts differ):
 //!
 //! 1. `broker_interest_snapshot` — the per-rebroadcast
 //!    `interest.keys().cloned().collect()` clone vs the memoized

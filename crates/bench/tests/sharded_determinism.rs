@@ -1,25 +1,28 @@
-//! Determinism contract of the sharded engine.
+//! Determinism contract of the simulation engine.
 //!
-//! The conservative-lookahead engine promises byte-identical digests
-//! for every `(workers, shards)` combination: RNG streams key on node
-//! id, cross-LP deliveries merge in node order at epoch barriers, and
-//! the partition only chooses *where* an LP executes, never *what* it
-//! observes. These properties pin that contract over two topology
-//! families — random geometric graphs (latencies drawn from node
-//! placement) and the paper's star overlay under a full discovery —
-//! both with and without a generated chaos plan in flight.
+//! The engine promises byte-identical digests for every `(workers,
+//! shards)` combination: RNG streams key on node id, every event's
+//! order key is fixed when it is created, effects that cross nodes take
+//! effect a fixed lookahead later, and the partition only chooses
+//! *where* an LP executes, never *what* it observes. These properties
+//! pin that contract over two topology families (random geometric
+//! graphs with latencies drawn from node placement, and the paper's
+//! star overlay under a full discovery), both with and without a
+//! generated chaos plan in flight, and over the chaos and federation
+//! campaigns' scripted fault plans.
 
 use std::time::Duration;
 
+use nb_bench::{chaos, federation};
 use nb_broker::TopologyKind;
 use nb_discovery::scenario::ScenarioBuilder;
 use nb_net::wan::{BLOOMINGTON, CARDIFF, FSU, NCSA, UMN};
 use nb_net::{
-    impl_actor_any, Actor, ChaosProfile, ChaosTargets, Context, FaultPlan, Incoming, LinkSpec,
-    NodeId, RealmId, ShardedSim,
+    impl_actor_any, Actor, ChaosProfile, ChaosTargets, ClockProfile, Context, FaultPlan, Incoming,
+    LinkSpec, NodeId, RealmId, ShardedSim,
 };
 use nb_wire::addr::well_known;
-use nb_wire::{Endpoint, Message};
+use nb_wire::{Endpoint, GroupId, Message};
 use proptest::prelude::*;
 
 /// Pings a fixed peer on a timer cadence, echoes pings back as pongs:
@@ -139,8 +142,9 @@ fn star_fingerprint(
     workers: usize,
     shards: usize,
 ) -> (u64, u64) {
-    let mut scenario =
-        ScenarioBuilder::new(TopologyKind::Star, site, seed).build_sharded(workers, shards);
+    let mut scenario = ScenarioBuilder::new(TopologyKind::Star, site, seed).build();
+    scenario.sim.set_workers(workers);
+    scenario.sim.set_shards(shards);
     if chaos {
         let targets = ChaosTargets {
             bdns: scenario.bdn.into_iter().collect(),
@@ -209,4 +213,115 @@ fn repeat_sharded_invocations_are_stable() {
     let first = geometric_fingerprint(9, &points, true, 4, 4);
     let second = geometric_fingerprint(9, &points, true, 4, 4);
     assert_eq!(first, second);
+}
+
+/// The worker counts every fixed input below is checked at.
+const WORKERS: [usize; 3] = [1, 2, 4];
+
+/// Asserts `run(workers)` agrees with `run(1)` at every count in
+/// [`WORKERS`].
+fn assert_worker_invariant<T: PartialEq + std::fmt::Debug>(what: &str, run: impl Fn(usize) -> T) {
+    let reference = run(1);
+    for workers in &WORKERS[1..] {
+        assert_eq!(run(*workers), reference, "{what} diverged at {workers} workers");
+    }
+}
+
+/// Fig 9's setup: the star overlay with a Bloomington client, seed 11.
+#[test]
+fn fig9_digest_invariant_across_workers() {
+    assert_worker_invariant("fig9", |workers| star_fingerprint(11, BLOOMINGTON, false, workers, workers));
+}
+
+/// The chaos campaign's scripted seed-11 plan: crashes with state-loss
+/// respawns, a one-way partition and a packet-fault window, plus a
+/// clock step on an entity. The digest covers boot, the fault storm and
+/// the recovery window.
+#[test]
+fn chaos_seed_11_scripted_plan_invariant_across_workers() {
+    assert_worker_invariant("chaos seed 11", |workers| {
+        let mut dep = chaos::build_deployment(11);
+        dep.sim.set_workers(workers);
+        dep.sim.run_for(Duration::from_secs(12));
+        let plan = chaos::acceptance_plan(&dep)
+            .clock_step_at(Duration::from_secs(30), dep.entities[1], 250_000_000)
+            .sorted();
+        dep.sim.apply_fault_plan(&plan);
+        dep.sim.run_for(Duration::from_secs(120));
+        let stats = dep.sim.stats();
+        (dep.sim.digest(), dep.sim.events_processed(), stats.datagrams_duplicated, stats.unreachable_partitioned)
+    });
+}
+
+/// The federation campaign's scripted plan: two of three BDNs lost, a
+/// permanent broker loss and a stale replica's return.
+#[test]
+fn federation_scripted_plan_invariant_across_workers() {
+    assert_worker_invariant("federation", |workers| {
+        let mut dep = federation::build_deployment(2005);
+        dep.sim.set_workers(workers);
+        dep.sim.run_for(Duration::from_secs(12));
+        let plan = federation::acceptance_plan(&dep);
+        dep.sim.apply_fault_plan(&plan);
+        dep.sim.run_for(Duration::from_secs(90));
+        (dep.sim.digest(), dep.sim.events_processed())
+    });
+}
+
+/// Joins `group` on start and multicasts into it at the same instant.
+struct JoinThenCast {
+    group: GroupId,
+    heard: u32,
+}
+
+impl Actor for JoinThenCast {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        ctx.join_group(self.group);
+        let ping = Message::Ping {
+            nonce: ctx.me().0 as u64,
+            sent_at: 0,
+            reply_to: Endpoint::new(ctx.me(), well_known::PING),
+        };
+        ctx.send_multicast(well_known::PING, self.group, well_known::PING, &ping);
+        // A second multicast one second later, long after every join.
+        ctx.set_timer(Duration::from_secs(1), 1);
+    }
+
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        match event {
+            Incoming::Timer { token: 1 } => {
+                let ping = Message::Ping {
+                    nonce: 0,
+                    sent_at: 0,
+                    reply_to: Endpoint::new(ctx.me(), well_known::PING),
+                };
+                ctx.send_multicast(well_known::PING, self.group, well_known::PING, &ping);
+            }
+            Incoming::Datagram { .. } => self.heard += 1,
+            _ => {}
+        }
+    }
+
+    impl_actor_any!();
+}
+
+/// Every node joins and multicasts at the same instant. A join takes
+/// effect one lookahead later at every worker count, so the start-up
+/// multicasts reach nobody and the later ones reach every other member.
+#[test]
+fn same_instant_join_then_multicast_invariant_across_workers() {
+    assert_worker_invariant("join-then-multicast", |workers| {
+        let mut sim = ShardedSim::with_clock_profile(11, ClockProfile::perfect());
+        sim.set_workers(workers);
+        sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
+        sim.set_multicast_enabled(true);
+        let group = GroupId(3);
+        let nodes: Vec<NodeId> = (0..5)
+            .map(|i| sim.add_node(&format!("m{i}"), RealmId(0), Box::new(JoinThenCast { group, heard: 0 })))
+            .collect();
+        sim.run_for(Duration::from_secs(2));
+        let heard: Vec<u32> = nodes.iter().map(|&n| sim.actor::<JoinThenCast>(n).expect("actor").heard).collect();
+        assert_eq!(heard, vec![4; 5], "only the later multicasts are heard, by every other member");
+        (sim.digest(), sim.events_processed(), heard)
+    });
 }

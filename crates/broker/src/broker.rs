@@ -675,11 +675,11 @@ impl Actor for BrokerActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nb_net::{ClockProfile, LinkSpec, Sim};
+    use nb_net::{ClockProfile, LinkSpec, ShardedSim};
     use nb_wire::RealmId;
 
-    fn quiet_sim() -> Sim {
-        let mut sim = Sim::with_clock_profile(1234, ClockProfile::perfect());
+    fn quiet_sim() -> ShardedSim {
+        let mut sim = ShardedSim::with_clock_profile(1234, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
         sim.network_mut().inter_realm_spec =
             LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0);

@@ -128,7 +128,7 @@ impl Actor for PubSubClient {
 mod tests {
     use super::*;
     use crate::broker::{BrokerActor, BrokerConfig};
-    use nb_net::{ClockProfile, LinkSpec, Sim};
+    use nb_net::{ClockProfile, LinkSpec, ShardedSim};
     use nb_wire::RealmId;
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
         // The broker comes up only after the client's first attempt; the
         // retry timer must eventually connect it. (We simulate the broker
         // being down by partitioning, then healing.)
-        let mut sim = Sim::with_clock_profile(7, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(7, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
         let broker =
             sim.add_node("bk", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn self_publish_not_echoed_back() {
-        let mut sim = Sim::with_clock_profile(8, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(8, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
         let broker =
             sim.add_node("bk", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn two_subscribers_same_broker_both_receive() {
-        let mut sim = Sim::with_clock_profile(9, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(9, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
         let broker =
             sim.add_node("bk", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));

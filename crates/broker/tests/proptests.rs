@@ -185,7 +185,7 @@ mod routing_convergence {
     use proptest::prelude::*;
 
     use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology};
-    use nb_net::{ClockProfile, LinkSpec, Sim};
+    use nb_net::{ClockProfile, LinkSpec, ShardedSim};
     use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
 
     proptest! {
@@ -211,7 +211,7 @@ mod routing_convergence {
             let topo = Topology::random(n, extra, &mut rng);
             prop_assume!(topo.is_connected());
 
-            let mut sim = Sim::with_clock_profile(sim_seed, ClockProfile::perfect());
+            let mut sim = ShardedSim::with_clock_profile(sim_seed, ClockProfile::perfect());
             sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
             let mut brokers: Vec<NodeId> = Vec::new();
             for (i, dials) in topo.dial_lists().into_iter().enumerate() {

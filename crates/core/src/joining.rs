@@ -131,7 +131,7 @@ mod tests {
     use super::*;
     use crate::bdn::{Bdn, BdnConfig};
     use nb_broker::MachineProfile;
-    use nb_net::{ClockProfile, LinkSpec, Sim};
+    use nb_net::{ClockProfile, LinkSpec, ShardedSim};
     use nb_wire::RealmId;
     use std::time::Duration;
 
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn a_new_broker_discovers_and_links_into_the_overlay() {
-        let mut sim = Sim::with_clock_profile(81, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(81, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
         sim.network_mut().inter_realm_spec =
             LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0);

@@ -23,7 +23,7 @@ use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
 use nb_wire::{NodeId, RealmId};
 
 use nb_net::wan::{SiteIdx, WanModel, BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
-use nb_net::{ClockProfile, DiscoveryEngine, ShardedSim, Sim, SimTime};
+use nb_net::{ClockProfile, ShardedSim, SimTime};
 
 use crate::bdn::{Bdn, BdnConfig};
 use crate::broker_actor::DiscoveryBrokerActor;
@@ -108,10 +108,12 @@ impl ScenarioBuilder {
         b
     }
 
-    /// Builds the simulator, nodes and links (reference serial engine).
+    /// Builds the simulator, nodes and links on one worker, then runs
+    /// the warm-up. Results are byte-identical at any worker count, so
+    /// callers who want more set them on `scenario.sim`.
     pub fn build(self) -> Scenario {
         let wan = WanModel::paper();
-        let mut sim = Sim::with_clock_profile(self.seed, self.clock);
+        let mut sim = ShardedSim::with_clock_profile(self.seed, self.clock);
         let (bdns, brokers, client, topology) = self.build_into(&mut sim, &wan);
         let warmup = self.warmup;
         let mut scenario = Scenario {
@@ -130,40 +132,10 @@ impl ScenarioBuilder {
         scenario
     }
 
-    /// Builds the same testbed on the conservative-lookahead sharded
-    /// engine. Results are byte-identical for every `workers`/`shards`
-    /// combination (pass `0` for `shards` to default to one group per
-    /// worker); only wall time changes.
-    pub fn build_sharded(self, workers: usize, shards: usize) -> ShardedScenario {
-        let wan = WanModel::paper();
-        let mut sim = ShardedSim::with_clock_profile(self.seed, self.clock);
-        sim.set_workers(workers.max(1));
-        if shards > 0 {
-            sim.set_shards(shards);
-        }
-        let (bdns, brokers, client, topology) = self.build_into(&mut sim, &wan);
-        let warmup = self.warmup;
-        let mut scenario = ShardedScenario {
-            sim,
-            wan,
-            topology,
-            kind: self.kind,
-            bdn: bdns.first().copied(),
-            bdns,
-            brokers,
-            client,
-            broker_sites: self.broker_sites,
-            client_site: self.client_site,
-        };
-        scenario.sim.run_for(warmup);
-        scenario
-    }
-
-    /// Engine-agnostic node/link construction, shared between
-    /// [`ScenarioBuilder::build`] and [`ScenarioBuilder::build_sharded`].
-    fn build_into<E: DiscoveryEngine>(
+    /// Node and link construction.
+    fn build_into(
         &self,
-        sim: &mut E,
+        sim: &mut ShardedSim,
         wan: &WanModel,
     ) -> (Vec<NodeId>, Vec<NodeId>, NodeId, Topology) {
         let n = self.broker_sites.len();
@@ -239,10 +211,7 @@ impl ScenarioBuilder {
                 federation,
                 ..self.bdn.clone()
             };
-            let actor = sim
-                .actor_dyn_mut(bdn_id)
-                .and_then(|a| a.as_any_mut().downcast_mut::<Bdn>())
-                .expect("bdn actor");
+            let actor = sim.actor_mut::<Bdn>(bdn_id).expect("bdn actor");
             *actor = Bdn::new(bdn_cfg);
         }
 
@@ -277,7 +246,7 @@ impl ScenarioBuilder {
 /// A built testbed: simulator plus the node ids of every role.
 pub struct Scenario {
     /// The simulator.
-    pub sim: Sim,
+    pub sim: ShardedSim,
     /// The WAN model used.
     pub wan: WanModel,
     /// The overlay topology.
@@ -354,93 +323,6 @@ impl Scenario {
         self.brokers.iter().position(|&b| b == broker).map(|i| self.broker_sites[i])
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// The realm of the client's site.
-    pub fn client_realm(&self) -> RealmId {
-        self.wan.site(self.client_site).realm
-    }
-}
-
-/// A built testbed on the sharded engine: same roles as [`Scenario`],
-/// plus the run digest and worker/shard knobs the determinism gates
-/// compare across configurations.
-pub struct ShardedScenario {
-    /// The sharded simulator.
-    pub sim: ShardedSim,
-    /// The WAN model used.
-    pub wan: WanModel,
-    /// The overlay topology.
-    pub topology: Topology,
-    /// The topology kind.
-    pub kind: TopologyKind,
-    /// The first BDN node (absent in multicast-only scenarios).
-    pub bdn: Option<NodeId>,
-    /// Every BDN node, in build order ([`ScenarioBuilder::n_bdns`]).
-    pub bdns: Vec<NodeId>,
-    /// Broker nodes, index-aligned with `broker_sites`.
-    pub brokers: Vec<NodeId>,
-    /// The discovery client node.
-    pub client: NodeId,
-    /// Site of each broker.
-    pub broker_sites: Vec<SiteIdx>,
-    /// Site of the client.
-    pub client_site: SiteIdx,
-}
-
-impl ShardedScenario {
-    /// Runs one discovery and returns its outcome.
-    pub fn run_discovery_once(&mut self) -> DiscoveryOutcome {
-        self.run_discovery(1).pop().expect("one outcome")
-    }
-
-    /// Runs `count` back-to-back discoveries, mirroring
-    /// [`Scenario::run_discovery`].
-    pub fn run_discovery(&mut self, count: usize) -> Vec<DiscoveryOutcome> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let before = self.client_actor().completed.len();
-            self.sim.inject(
-                self.client,
-                Duration::from_millis(1),
-                nb_net::Incoming::Timer { token: TIMER_START },
-            );
-            let cap = self.sim.now() + Duration::from_secs(60);
-            loop {
-                self.sim.run_for(Duration::from_millis(100));
-                if self.client_actor().completed.len() > before {
-                    break;
-                }
-                if self.sim.now() > cap {
-                    panic!(
-                        "discovery run did not complete within 60s of virtual time (phase {:?})",
-                        self.client_actor().phase()
-                    );
-                }
-            }
-            self.sim.run_for(Duration::from_millis(200));
-            out.push(self.client_actor().completed.last().expect("outcome").clone());
-        }
-        out
-    }
-
-    fn client_actor(&self) -> &DiscoveryClient {
-        self.sim.actor::<DiscoveryClient>(self.client).expect("client actor")
-    }
-
-    /// The client's discovery state (for assertions).
-    pub fn client_phase(&self) -> Phase {
-        self.client_actor().phase()
-    }
-
-    /// Maps a broker node id back to its site index.
-    pub fn site_of_broker(&self, broker: NodeId) -> Option<SiteIdx> {
-        self.brokers.iter().position(|&b| b == broker).map(|i| self.broker_sites[i])
-    }
-
     /// The run digest (see [`ShardedSim::digest`]): byte-identical
     /// across worker and shard counts for a fixed builder + seed.
     pub fn digest(&self) -> u64 {
@@ -450,6 +332,11 @@ impl ShardedScenario {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
+    }
+
+    /// The realm of the client's site.
+    pub fn client_realm(&self) -> RealmId {
+        self.wan.site(self.client_site).realm
     }
 }
 
@@ -505,17 +392,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_discovers_and_is_worker_invariant() {
+    fn star_discovery_is_worker_invariant() {
         let run = |workers, shards| {
-            let mut s = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 47)
-                .build_sharded(workers, shards);
+            let mut s = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 47).build();
+            s.sim.set_workers(workers);
+            s.sim.set_shards(shards);
             let o = s.run_discovery_once();
             (o.chosen.is_some(), s.digest(), s.sim.events_processed())
         };
         let reference = run(1, 1);
-        assert!(reference.0, "sharded discovery completes");
+        assert!(reference.0, "discovery completes");
         assert_eq!(reference, run(2, 2));
-        assert_eq!(reference, run(4, 0));
+        assert_eq!(reference, run(4, 4));
     }
 
     #[test]
@@ -524,7 +412,9 @@ mod tests {
             let mut b = ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 48);
             b.n_bdns = 3;
             b.federation = Some(FederationConfig::default());
-            let mut s = b.build_sharded(workers, shards);
+            let mut s = b.build();
+            s.sim.set_workers(workers);
+            s.sim.set_shards(shards);
             let o = s.run_discovery_once();
             // Quiesce a few anti-entropy rounds past the discovery.
             s.sim.run_for(Duration::from_secs(10));
@@ -544,7 +434,7 @@ mod tests {
             reference.1
         );
         assert_eq!(reference, run(2, 2), "sync traffic is worker-invariant");
-        assert_eq!(reference, run(4, 0));
+        assert_eq!(reference, run(4, 4));
     }
 
     #[test]

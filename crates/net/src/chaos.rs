@@ -1,4 +1,4 @@
-//! Deterministic chaos engine: seeded fault schedules for [`crate::Sim`].
+//! Deterministic chaos engine: seeded fault schedules for [`crate::ShardedSim`].
 //!
 //! A [`FaultPlan`] is an ordered list of `(at, Fault)` pairs. Plans are
 //! built two ways:
@@ -13,11 +13,11 @@
 //!   canonical text form that campaign reports embed and determinism
 //!   tests compare byte-for-byte.
 //!
-//! Installing a plan ([`crate::Sim::apply_fault_plan`] or
+//! Installing a plan ([`crate::ShardedSim::apply_fault_plan`] or
 //! [`ChaosScheduler::install`]) pushes each fault into the event queue;
 //! faults execute at their scheduled instant interleaved with protocol
 //! events, and everything downstream (packet fates, retries, lease
-//! expiries) remains driven by the sim's single seeded RNG.
+//! expiries) remains driven by the sim's seeded per-node RNG streams.
 
 use std::fmt;
 use std::time::Duration;
@@ -26,7 +26,7 @@ use nb_wire::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::sim::Sim;
+use crate::shard::ShardedSim;
 
 /// Per-datagram fault probabilities, applied to every datagram that the
 /// loss model decided to deliver. All-zero means inactive: the sim rolls
@@ -79,13 +79,13 @@ impl Default for PacketFaults {
 /// One injectable fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
-    /// Take the node down (state preserved, as [`crate::Sim::crash`]).
+    /// Take the node down (state preserved, as [`crate::ShardedSim::crash`]).
     Crash { node: NodeId },
     /// Bring a crashed node back. With `lose_state` the actor is rebuilt
     /// from its respawn factory (registered via
-    /// [`crate::Sim::set_respawn`]) — volatile state such as registries,
+    /// [`crate::ShardedSim::set_respawn`]) — volatile state such as registries,
     /// caches and pending timers is gone; without it this is a plain
-    /// [`crate::Sim::revive`].
+    /// [`crate::ShardedSim::revive`].
     Restart { node: NodeId, lose_state: bool },
     /// Sever both directions between `a` and `b`.
     Partition { a: NodeId, b: NodeId },
@@ -457,7 +457,7 @@ impl FaultPlan {
     }
 }
 
-/// Owns a [`FaultPlan`] and installs it into a [`Sim`]. Thin by design —
+/// Owns a [`FaultPlan`] and installs it into a [`ShardedSim`]. Thin by design —
 /// once installed, the sim's event queue *is* the scheduler; this type
 /// exists so campaign code can hold a plan and its provenance together.
 #[derive(Debug, Clone)]
@@ -489,7 +489,7 @@ impl ChaosScheduler {
     }
 
     /// Queues every fault into `sim`, offset from the current virtual time.
-    pub fn install(&self, sim: &mut Sim) {
+    pub fn install(&self, sim: &mut ShardedSim) {
         sim.apply_fault_plan(&self.plan);
     }
 }

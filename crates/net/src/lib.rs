@@ -12,11 +12,10 @@
 //!   logic is written against,
 //! * [`link`] — link latency/jitter/loss models, TCP-like ordering and
 //!   connection setup, realm-scoped multicast,
-//! * [`sim`] — the single-threaded, seeded, discrete-event engine used by
-//!   every figure reproduction,
-//! * [`shard`] — the conservative-lookahead sharded engine: one logical
-//!   process per node, per-epoch safe horizons, byte-identical digests
-//!   at every worker/shard count (DESIGN.md §13),
+//! * [`shard`] — the seeded discrete-event engine behind every figure,
+//!   campaign and scale tier: one logical process per node, run on one
+//!   worker or in conservative-lookahead epochs on several, with
+//!   byte-identical digests at every worker/shard count (DESIGN.md §13),
 //! * [`threaded`] — a wall-clock runtime driving the *same* actors with
 //!   real threads and channels (examples + integration tests),
 //! * [`wan`] — the Table-1 site inventory and its latency matrix,
@@ -30,7 +29,6 @@ pub mod link;
 pub mod ntp;
 pub mod runtime;
 pub mod shard;
-pub mod sim;
 pub mod threaded;
 pub mod time;
 pub mod topogen;
@@ -40,8 +38,7 @@ pub use chaos::{ChaosProfile, ChaosScheduler, ChaosTargets, Fault, FaultPlan, Pa
 pub use clock::{ClockProfile, ClockState};
 pub use link::{LinkSpec, NetworkModel};
 pub use runtime::{Actor, Context, Incoming};
-pub use shard::{DiscoveryEngine, ShardPlan, ShardRespawnFn, ShardedSim};
-pub use sim::{NetStats, RespawnFn, Sim, TraceRecord, WireV2Config};
+pub use shard::{NetStats, ShardPlan, ShardRespawnFn, ShardedSim, TraceRecord, WireV2Config};
 pub use threaded::ThreadedNet;
 pub use time::SimTime;
 pub use topogen::{TopologyKind, TopologySpec, WanTopology};

@@ -210,7 +210,7 @@ mod tests {
     use super::*;
     use crate::clock::ClockProfile;
     use crate::link::LinkSpec;
-    use crate::sim::Sim;
+    use crate::shard::ShardedSim;
     use nb_wire::RealmId;
 
     fn run_sync(seed: u64, loss: f64) -> (i64, NtpPhase, usize) {
@@ -224,7 +224,7 @@ mod tests {
             min_sync_delay: Duration::from_secs(86_400),
             max_sync_delay: Duration::from_secs(86_400),
         };
-        let mut sim = Sim::with_clock_profile(seed, profile);
+        let mut sim = ShardedSim::with_clock_profile(seed, profile);
         sim.network_mut().inter_realm_spec =
             LinkSpec::wan(Duration::from_millis(25)).with_loss(loss);
         let server =
@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn server_counts_requests() {
-        let mut sim = Sim::with_clock_profile(9, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(9, ClockProfile::perfect());
         sim.network_mut().inter_realm_spec =
             LinkSpec::wan(Duration::from_millis(5)).with_loss(0.0);
         let server = sim.add_node("time", RealmId(0), Box::new(NtpServer::default()));

@@ -3,7 +3,7 @@
 //! Brokers, BDNs, discovery clients, NTP servers — every node is an
 //! [`Actor`]: a state machine that reacts to [`Incoming`] events and acts
 //! on the world exclusively through a [`Context`]. The same actor code
-//! runs unmodified under the discrete-event engine ([`crate::sim::Sim`])
+//! runs unmodified under the discrete-event engine ([`crate::shard::ShardedSim`])
 //! and the wall-clock threaded runtime ([`crate::threaded::ThreadedNet`]).
 
 use std::any::Any;

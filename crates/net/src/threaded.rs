@@ -22,7 +22,7 @@ use rand::{RngCore, SeedableRng};
 use crate::clock::{ClockProfile, ClockState};
 use crate::link::{DatagramFate, NetworkModel, StreamBook};
 use crate::runtime::{Actor, Context, Incoming};
-use crate::sim::NetStats;
+use crate::shard::NetStats;
 use crate::time::SimTime;
 
 enum NodeMsg {

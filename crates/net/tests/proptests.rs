@@ -201,7 +201,7 @@ proptest! {
 mod bandwidth_end_to_end {
     use std::time::Duration;
 
-    use nb_net::{impl_actor_any, Actor, ClockProfile, Context, Incoming, LinkSpec, Sim, SimTime};
+    use nb_net::{impl_actor_any, Actor, ClockProfile, Context, Incoming, LinkSpec, ShardedSim, SimTime};
     use nb_util::Uuid;
     use nb_wire::{Endpoint, Event, Message, NodeId, Port, RealmId, Topic};
 
@@ -245,7 +245,7 @@ mod bandwidth_end_to_end {
 
     #[test]
     fn bulk_traffic_delays_messages_queued_behind_it() {
-        let mut sim = Sim::with_clock_profile(5, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(5, ClockProfile::perfect());
         sim.network_mut().inter_realm_spec = LinkSpec::wan(Duration::from_millis(10))
             .with_loss(0.0)
             .with_jitter(Duration::ZERO);

@@ -194,7 +194,7 @@ impl ReliableReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nb_net::{impl_actor_any, Actor, ClockProfile, LinkSpec, Sim};
+    use nb_net::{impl_actor_any, Actor, ClockProfile, LinkSpec, ShardedSim};
     use nb_wire::RealmId;
 
     const CHAN: Uuid = Uuid::from_u128(0xC44);
@@ -237,7 +237,7 @@ mod tests {
     }
 
     fn run(loss: f64, count: u32, seed: u64) -> (Vec<Bytes>, u64, u64) {
-        let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec =
             LinkSpec::lan().with_loss(loss).with_jitter(Duration::from_millis(5));
         let rx_node = sim.add_node(
@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn foreign_channels_are_ignored() {
-        let mut sim = Sim::with_clock_profile(3, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(3, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
         let rx_node = sim.add_node(
             "rx",

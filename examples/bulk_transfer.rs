@@ -11,14 +11,14 @@
 use std::time::Duration;
 
 use nb::broker::{BrokerActor, BrokerConfig, PubSubClient};
-use nb::net::{ClockProfile, LinkSpec, Sim};
+use nb::net::{ClockProfile, LinkSpec, ShardedSim};
 use nb::services::compress::{compress_payload, compression_ratio, decompress_payload};
 use nb::services::fragment::{fragment_payload, Fragment, Reassembler};
 use nb::util::Uuid;
 use nb::wire::{RealmId, Topic, TopicFilter, Wire};
 
 fn main() {
-    let mut sim = Sim::with_clock_profile(5, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(5, ClockProfile::perfect());
     sim.network_mut().inter_realm_spec = LinkSpec::wan(Duration::from_millis(20)).with_loss(0.0);
     let a = sim.add_node("broker-a", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
     let b = sim.add_node(

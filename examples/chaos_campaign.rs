@@ -16,11 +16,11 @@ use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{
     DiscoveryBrokerActor, DiscoveryConfig, Entity, ResponsePolicy, RetryPolicy,
 };
-use nb::net::{ClockProfile, FaultPlan, LinkSpec, PacketFaults, Sim};
+use nb::net::{ClockProfile, FaultPlan, LinkSpec, PacketFaults, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 fn main() {
-    let mut sim = Sim::with_clock_profile(42, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(42, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0005);
     sim.network_mut().inter_realm_spec =
         LinkSpec::wan(Duration::from_millis(15)).with_loss(0.001);

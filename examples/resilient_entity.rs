@@ -12,11 +12,11 @@ use std::time::Duration;
 use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{DiscoveryBrokerActor, DiscoveryConfig, Entity, ResponsePolicy};
-use nb::net::{ClockProfile, LinkSpec, Sim};
+use nb::net::{ClockProfile, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 fn main() {
-    let mut sim = Sim::with_clock_profile(17, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(17, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     let bdn = sim.add_node("bdn", RealmId(0), Box::new(Bdn::new(BdnConfig::default())));
     let mk = |name: &str, neighbors: Vec<NodeId>| {

@@ -9,17 +9,17 @@ use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{
     DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, ResponsePolicy,
 };
-use nb::net::{ClockProfile, LinkSpec, Sim};
+use nb::net::{ClockProfile, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 struct World {
-    sim: Sim,
+    sim: ShardedSim,
     bdn: NodeId,
     brokers: Vec<NodeId>,
 }
 
 fn world(seed: u64, n_brokers: usize) -> World {
-    let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     sim.network_mut().inter_realm_spec =
         LinkSpec::wan(Duration::from_millis(8)).with_loss(0.0);

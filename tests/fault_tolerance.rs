@@ -260,9 +260,9 @@ fn client_fails_over_to_the_second_bdn() {
     use nb::broker::{BrokerConfig, MachineProfile};
     use nb::discovery::bdn::{Bdn, BdnConfig};
     use nb::discovery::{DiscoveryBrokerActor, DiscoveryConfig};
-    use nb::net::{ClockProfile, LinkSpec, Sim};
+    use nb::net::{ClockProfile, LinkSpec, ShardedSim};
 
-    let mut sim = Sim::with_clock_profile(33, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(33, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     let bdn_org = sim.add_node("bdn.org", RealmId(0), Box::new(Bdn::new(BdnConfig::default())));
     let bdn_com = sim.add_node("bdn.com", RealmId(0), Box::new(Bdn::new(BdnConfig::default())));

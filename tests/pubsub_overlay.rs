@@ -7,17 +7,17 @@ use std::time::Duration;
 use nb::broker::{BrokerActor, BrokerConfig, PubSubClient, Topology, TopologyKind};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{DiscoveryBrokerActor, ResponsePolicy};
-use nb::net::{ClockProfile, LinkSpec, Sim};
+use nb::net::{ClockProfile, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
-fn quiet_sim(seed: u64) -> Sim {
-    let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+fn quiet_sim(seed: u64) -> ShardedSim {
+    let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     sim.network_mut().inter_realm_spec = LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0);
     sim
 }
 
-fn build_overlay(sim: &mut Sim, topo: &Topology) -> Vec<NodeId> {
+fn build_overlay(sim: &mut ShardedSim, topo: &Topology) -> Vec<NodeId> {
     let mut ids: Vec<NodeId> = Vec::new();
     for (i, dials) in topo.dial_lists().into_iter().enumerate() {
         let neighbors = dials.iter().map(|&j| ids[j]).collect();

@@ -7,7 +7,7 @@ use std::time::Duration;
 use nb::broker::{BrokerConfig, MachineProfile, PubSubClient};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{DiscoveryConfig, JoiningBroker, ResponsePolicy};
-use nb::net::{ClockProfile, LinkSpec, Sim};
+use nb::net::{ClockProfile, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 fn discovery_cfg(bdn: NodeId) -> DiscoveryConfig {
@@ -23,7 +23,7 @@ fn discovery_cfg(bdn: NodeId) -> DiscoveryConfig {
 
 #[test]
 fn partitioned_brokers_relink_through_discovery() {
-    let mut sim = Sim::with_clock_profile(91, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(91, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     let bdn = sim.add_node("bdn", RealmId(0), Box::new(Bdn::new(BdnConfig::default())));
 
@@ -101,7 +101,7 @@ fn healing_survives_a_failed_attempt() {
     // Regression: a heal attempt that fails (every path down) must not
     // permanently disable healing — once the infrastructure returns, the
     // broker re-links.
-    let mut sim = Sim::with_clock_profile(92, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(92, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     let bdn = sim.add_node("bdn", RealmId(0), Box::new(Bdn::new(BdnConfig::default())));
     let anchor = sim.add_node(

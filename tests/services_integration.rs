@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use nb::broker::{BrokerActor, BrokerConfig, PubSubClient};
-use nb::net::{impl_actor_any, Actor, ClockProfile, Context, Incoming, LinkSpec, Sim};
+use nb::net::{impl_actor_any, Actor, ClockProfile, Context, Incoming, LinkSpec, ShardedSim};
 use nb::services::compress::{compress_payload, decompress_payload};
 use nb::services::fragment::{fragment_payload, Fragment, Reassembler};
 use nb::services::replay::ReplayService;
@@ -14,8 +14,8 @@ use nb::util::Uuid;
 use nb::wire::addr::well_known;
 use nb::wire::{Endpoint, Event, Message, NodeId, Port, RealmId, Topic, TopicFilter, Wire};
 
-fn quiet_sim(seed: u64) -> Sim {
-    let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+fn quiet_sim(seed: u64) -> ShardedSim {
+    let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     sim.network_mut().inter_realm_spec = LinkSpec::wan(Duration::from_millis(12)).with_loss(0.0);
     sim

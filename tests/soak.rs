@@ -8,7 +8,7 @@ use std::time::Duration;
 use nb::broker::{BrokerConfig, MachineProfile, Topology};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{DiscoveryBrokerActor, DiscoveryConfig, Entity, ResponsePolicy};
-use nb::net::{ClockProfile, LinkSpec, Sim};
+use nb::net::{ClockProfile, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const N_BROKERS: usize = 30;
@@ -16,7 +16,7 @@ const N_ENTITIES: usize = 12;
 
 #[test]
 fn large_churning_overlay_keeps_every_entity_attached() {
-    let mut sim = Sim::with_clock_profile(2005, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(2005, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0005);
     sim.network_mut().inter_realm_spec =
         LinkSpec::wan(Duration::from_millis(10)).with_loss(0.001);

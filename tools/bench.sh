@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates the perf baseline: builds the workspace in release mode,
-# runs the figure suite serial vs parallel plus the hot-path A/B, and
+# runs the figure suite serial vs parallel plus the shard-scaling A/B, and
 # writes BENCH_discovery.json at the repo root.
 #
 # Usage:
@@ -43,7 +43,7 @@
 #                                   # columns clear 3x, the throughput
 #                                   # floor / memory ceiling is missed, or
 #                                   # the two reports differ by a byte
-#   tools/bench.sh shards           # sharded-engine determinism gate: the
+#   tools/bench.sh shards           # engine determinism gate: the
 #                                   # same workload at 1/2/4 intra-run
 #                                   # workers must produce byte-identical
 #                                   # digests (hard failure otherwise);
