@@ -2,10 +2,9 @@
 //!
 //! Seeded and fully deterministic: every figure, campaign and scale
 //! tier runs on [`ShardedSim`]. Nodes are [`Actor`]s. Every node is its
-//! own logical process (LP) with a private event queue, RNG stream
-//! (`SplitMix64(seed ^ node_id)`, which is exactly what
-//! [`StdRng::seed_from_u64`] expands the xor through), stream and wire
-//! books, v2 symbol tables, trace buffer and traffic counters. The
+//! own logical process (LP) with a private RNG stream (seeded from the
+//! root seed and the node id, see `node_seed`), stream and wire books,
+//! v2 symbol tables, trace buffer and traffic counters. The
 //! engine owns virtual time and the [`NetworkModel`], and dispatches
 //! [`Incoming`] events through a [`Context`] implementation.
 //!
@@ -216,6 +215,14 @@ impl NetStats {
             *self.by_kind.entry(kind).or_insert(0) += count;
         }
     }
+}
+
+/// The RNG seed of `node`'s stream under root `seed`. The node id is
+/// spread over all 64 bits first: with a plain `seed ^ id`, runs whose
+/// seeds differ only in the low bits (a figure's consecutive run seeds)
+/// would draw from the same few streams, dealt to different nodes.
+fn node_seed(seed: u64, node: NodeId) -> u64 {
+    seed ^ (node.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -453,8 +460,8 @@ struct Lp {
     /// Events (and global operations) this LP has created: the last
     /// component of their order keys.
     emitted: u64,
-    /// Private RNG stream, seeded `root_seed ^ node_id`: a function of
-    /// the node's identity, never of which worker runs it.
+    /// Private RNG stream, seeded by `node_seed(root seed, node id)`: a
+    /// function of the node's identity, never of which worker runs it.
     rng: StdRng,
     streams: StreamBook,
     wires: WireBook,
@@ -1264,7 +1271,7 @@ impl ShardedSim {
         actor: Box<dyn Actor>,
     ) -> NodeId {
         let id = NodeId(self.lps.len() as u32);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ id.0 as u64);
+        let mut rng = StdRng::seed_from_u64(node_seed(self.seed, id));
         let clock = profile.sample(self.now, &mut rng);
         let sync_at = clock.sync_at;
         Arc::make_mut(&mut self.network).register_node(id, realm);
