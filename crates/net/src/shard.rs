@@ -1123,6 +1123,10 @@ pub struct ShardedSim {
     /// Every pending event of the run, in key order. The epoch loop
     /// deals them out to the LP queues and gathers them back.
     queue: BinaryHeap<Queued>,
+    /// Harness-created events not yet in `queue`. They join it in one
+    /// batch when the next run starts, so building a large deployment
+    /// does not pay a heap insertion per node.
+    staged: Vec<Queued>,
     /// The one-worker loop's outbox, lent to the LP it runs.
     scratch: Vec<Queued>,
     workers: usize,
@@ -1156,6 +1160,7 @@ impl ShardedSim {
             global: BTreeMap::new(),
             gseq: 0,
             queue: BinaryHeap::new(),
+            staged: Vec::new(),
             scratch: Vec::new(),
             workers: 1,
             shards: None,
@@ -1292,7 +1297,7 @@ impl ShardedSim {
     fn enqueue(&mut self, node: NodeId, at: SimTime, ev: LpEvent) {
         if let Some(lp) = self.lps.get_mut(node.0 as usize) {
             let q = lp.keyed(at, node, ev);
-            self.queue.push(q);
+            self.staged.push(q);
         }
     }
 
@@ -1442,22 +1447,24 @@ impl ShardedSim {
     /// Runs until virtual time reaches `deadline`, processing every
     /// event scheduled at or before it.
     pub fn run_until(&mut self, deadline: SimTime) {
+        if !self.staged.is_empty() {
+            let mut staged = BinaryHeap::from(std::mem::take(&mut self.staged));
+            self.queue.append(&mut staged);
+        }
         let lookahead = *self
             .lookahead
             .get_or_insert_with(|| self.network.min_cross_node_latency().max(Duration::from_nanos(1)));
         let n = self.lps.len();
         let shard_count = self.shards.unwrap_or(self.workers).clamp(1, n.max(1));
-        let plan_ok = self.plan.as_ref().is_some_and(|p| p.0 == n && p.1 == shard_count);
-        if self.workers > 1 && shard_count > 1 && !plan_ok {
-            self.plan = Some((n, shard_count, ShardPlan::partition(&self.network, n, shard_count)));
-        }
-        match &self.plan {
-            Some((_, _, plan)) if self.workers > 1 && shard_count > 1 && plan.shards > 1 => {
-                let plan = plan.clone();
-                let workers = self.workers.min(plan.shards);
-                self.run_epochs(deadline, lookahead, &plan, workers);
+        if self.workers == 1 || shard_count == 1 {
+            self.run_serial(deadline, lookahead);
+        } else {
+            if !self.plan.as_ref().is_some_and(|p| p.0 == n && p.1 == shard_count) {
+                self.plan = Some((n, shard_count, ShardPlan::partition(&self.network, n, shard_count)));
             }
-            _ => self.run_serial(deadline, lookahead),
+            let plan = self.plan.as_ref().expect("just ensured").2.clone();
+            let workers = self.workers.min(plan.shards);
+            self.run_epochs(deadline, lookahead, &plan, workers);
         }
         if self.now < deadline {
             self.now = deadline;
@@ -1467,14 +1474,12 @@ impl ShardedSim {
     /// Pops the due global operation, if one is at or before both
     /// `deadline` and the next event `next`.
     fn due_op(&mut self, next: Option<SimTime>, deadline: SimTime) -> Option<GlobalOp> {
-        let (&key, _) = self.global.iter().next()?;
-        if key.0 > deadline || next.is_some_and(|t| key.0 > t) {
+        let (&(at, _, _), _) = self.global.first_key_value()?;
+        if at > deadline || next.is_some_and(|t| at > t) {
             return None;
         }
-        if self.now < key.0 {
-            self.now = key.0;
-        }
-        self.global.remove(&key)
+        self.now = self.now.max(at);
+        self.global.pop_first().map(|(_, op)| op)
     }
 
     /// The one-worker loop: always run the earliest event. What it
@@ -1666,7 +1671,7 @@ impl ShardedSim {
                 return None;
             }
             let mut horizon = (m + lookahead).min(deadline + Duration::from_nanos(1));
-            if let Some((&(at, _, _), _)) = self.global.iter().next() {
+            if let Some((&(at, _, _), _)) = self.global.first_key_value() {
                 horizon = horizon.min(at);
             }
             // Drain every heap entry below the horizon; the valid ones
