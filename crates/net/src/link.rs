@@ -436,14 +436,16 @@ impl StreamBook {
     }
 
     /// Records `a <-> b` as established without charging setup, in both
-    /// directions. The sharded engine keeps one book per node: the
-    /// sender's book charges the handshake, and the receiver marks the
-    /// pair established when the first framed message arrives (accepting
-    /// a connection establishes it server-side), so its replies skip the
-    /// setup RTTs just as they do under the shared-book engine.
+    /// directions. The engine keeps one book per node: the sender's book
+    /// charges the handshake, and the receiver marks the pair established
+    /// when the first framed message arrives (accepting a connection
+    /// establishes it server-side), so its replies skip the setup RTTs.
     pub fn mark_established(&mut self, a: Endpoint, b: Endpoint) {
-        self.established.insert((a, b));
-        self.established.insert((b, a));
+        // Both directions always enter and leave the book together, so
+        // a known `a -> b` means `b -> a` is there too.
+        if self.established.insert((a, b)) {
+            self.established.insert((b, a));
+        }
     }
 
     /// Drops all connection state involving `node` (crash/restart).
