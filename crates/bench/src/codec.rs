@@ -63,7 +63,6 @@ const AB_ROUNDS: u64 = 50;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator counting every allocation. The `repro`
 /// binary installs it as its `#[global_allocator]`; libraries and tests
@@ -71,26 +70,12 @@ static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 /// per-delivery numbers are real or were skipped.
 pub struct CountingAlloc;
 
-// Raises the high-water mark to at least `live`. A lock-free CAS loop;
-// contention is negligible (peaks move monotonically and rarely).
-fn bump_peak(live: u64) {
-    let mut peak = PEAK_BYTES.load(Ordering::Relaxed);
-    while live > peak {
-        match PEAK_BYTES.compare_exchange_weak(peak, live, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(p) => peak = p,
-        }
-    }
-}
-
 // SAFETY: delegates verbatim to `System`; the counter updates have no
 // effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        let live = LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed)
-            + layout.size() as u64;
-        bump_peak(live);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -103,8 +88,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         let (old, new) = (layout.size() as u64, new_size as u64);
         if new >= old {
-            let live = LIVE_BYTES.fetch_add(new - old, Ordering::Relaxed) + (new - old);
-            bump_peak(live);
+            LIVE_BYTES.fetch_add(new - old, Ordering::Relaxed);
         } else {
             LIVE_BYTES.fetch_sub(old - new, Ordering::Relaxed);
         }
@@ -123,11 +107,6 @@ pub fn alloc_count() -> u64 {
 /// readings, so the binary's own baseline cancels out.
 pub fn live_bytes() -> u64 {
     LIVE_BYTES.load(Ordering::Relaxed)
-}
-
-/// High-water mark of [`live_bytes`] since process start.
-pub fn peak_bytes() -> u64 {
-    PEAK_BYTES.load(Ordering::Relaxed)
 }
 
 /// Whether allocation counting is live in this process.

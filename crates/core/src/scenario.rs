@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
-use nb_wire::{NodeId, RealmId};
+use nb_wire::NodeId;
 
 use nb_net::wan::{SiteIdx, WanModel, BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
 use nb_net::{ClockProfile, ShardedSim, SimTime};
@@ -333,11 +333,6 @@ impl Scenario {
     pub fn now(&self) -> SimTime {
         self.sim.now()
     }
-
-    /// The realm of the client's site.
-    pub fn client_realm(&self) -> RealmId {
-        self.wan.site(self.client_site).realm
-    }
 }
 
 #[cfg(test)]
@@ -389,21 +384,6 @@ mod tests {
         assert_eq!(s.site_of_broker(chosen), Some(BLOOMINGTON));
         // Remote brokers are unreachable by multicast and unconnected.
         assert!(outcome.responses_received <= 2, "got {}", outcome.responses_received);
-    }
-
-    #[test]
-    fn star_discovery_is_worker_invariant() {
-        let run = |workers, shards| {
-            let mut s = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 47).build();
-            s.sim.set_workers(workers);
-            s.sim.set_shards(shards);
-            let o = s.run_discovery_once();
-            (o.chosen.is_some(), s.digest(), s.sim.events_processed())
-        };
-        let reference = run(1, 1);
-        assert!(reference.0, "discovery completes");
-        assert_eq!(reference, run(2, 2));
-        assert_eq!(reference, run(4, 4));
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl LinkSpec {
         }
     }
 
-    /// Replaces the bandwidth.
-    pub fn with_bandwidth(mut self, bytes_per_sec: Option<u64>) -> LinkSpec {
-        self.bandwidth = bytes_per_sec;
-        self
-    }
-
     /// Serialisation delay for a message of `len` bytes.
     pub fn transmission_delay(&self, len: usize) -> Duration {
         match self.bandwidth {
@@ -452,11 +446,6 @@ impl StreamBook {
     pub fn reset_node(&mut self, node: NodeId) {
         self.established.retain(|(a, b)| a.node != node && b.node != node);
         self.last_arrival.retain(|(a, b), _| a.node != node && b.node != node);
-    }
-
-    /// Number of established (directed) connection entries.
-    pub fn connection_count(&self) -> usize {
-        self.established.len()
     }
 }
 

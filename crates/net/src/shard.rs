@@ -36,11 +36,15 @@
 //! zero-latency case up to `L`. So an event at `t` can affect another LP
 //! no earlier than `t + L`.
 //!
-//! * **One worker** keeps every pending event in one heap ordered by
-//!   the event key (a total order, since `(origin, counter)` is unique)
-//!   and runs the earliest, whichever LP it belongs to. What the event
-//!   emits goes straight back into the heap. There are no epochs and no
-//!   barriers.
+//! Pending events live only in their LP's queue. A min-heap over the
+//! LPs, keyed by each LP's head event and re-keyed in place when a head
+//! changes, finds the earliest event of the run and the LPs with work
+//! below a horizon. Both modes share it.
+//!
+//! * **One worker** runs the head of the LP with the smallest key (a
+//!   total order, since `(origin, counter)` is unique), then queues
+//!   what the event emitted on its destination LPs. There are no epochs
+//!   and no barriers.
 //! * **Several workers** run barrier-synchronous epochs (Chandy/Misra/
 //!   Bryant conservative lookahead). With `m` the earliest pending
 //!   event, every LP runs its events below `H = m + L` (capped at the
@@ -80,7 +84,7 @@
 //! only sanctioned homes for thread primitives in nb-net (lint rule
 //! D008).
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,12 +237,17 @@ fn mix(h: &mut u64, x: u64) {
     *h = h.wrapping_mul(FNV_PRIME);
 }
 
-/// Mixes a string eight bytes at a time, then its length.
+/// Mixes a string eight bytes at a time (the last word zero-padded),
+/// then its length.
 fn mix_str(h: &mut u64, s: &str) {
-    for chunk in s.as_bytes().chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        mix(h, u64::from_le_bytes(word));
+    let mut words = s.as_bytes().chunks_exact(8);
+    for word in &mut words {
+        mix(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let word = tail.iter().rev().fold(0u64, |w, &b| w << 8 | b as u64);
+        mix(h, word);
     }
     mix(h, s.len() as u64);
 }
@@ -380,21 +389,41 @@ impl LpEvent {
     }
 }
 
-/// A queued event for LP `node`, with its order key `(at, origin,
-/// ctr)`. `(origin, ctr)` is unique per event, so the key is a total
-/// order over every event of the run, and restricted to one LP it is
-/// that LP's order.
+/// An event's order key `(time, origin node, origin's emission
+/// counter)` packed into one integer: the time in nanoseconds in the
+/// high 64 bits, then the origin in 24 bits and the counter in 40, so
+/// comparing keys is one integer comparison. `(origin, counter)` is
+/// unique per event, so the key is a total order over every event of
+/// the run, and restricted to one LP it is that LP's order.
+type Key = u128;
+
+/// Node ids must fit the key's 24-bit origin field.
+const MAX_NODES: usize = 1 << 24;
+/// Emission counters must fit the key's 40-bit counter field.
+const MAX_EMITTED: u64 = 1 << 40;
+
+/// A queued event. `seq` is the low half of its [`Key`]: origin and
+/// emission counter.
 struct Queued {
     at: SimTime,
-    node: u32,
-    origin: u32,
-    ctr: u64,
+    seq: u64,
     ev: LpEvent,
+}
+
+/// The time half of a key.
+fn key_time(key: Key) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
+}
+
+impl Queued {
+    fn key(&self) -> Key {
+        (self.at.as_nanos() as u128) << 64 | self.seq as u128
+    }
 }
 
 impl PartialEq for Queued {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.key() == other.key()
     }
 }
 impl Eq for Queued {}
@@ -406,7 +435,7 @@ impl PartialOrd for Queued {
 impl Ord for Queued {
     // Reversed so the BinaryHeap pops the smallest key first.
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.origin, other.ctr).cmp(&(self.at, self.origin, self.ctr))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -471,8 +500,8 @@ struct Lp {
     /// Local virtual time: the timestamp of the event being run.
     now: SimTime,
     /// Events this LP created during the current dispatch, for itself
-    /// or for other LPs, waiting to be queued.
-    outbox: Vec<Queued>,
+    /// or for other LPs, waiting to be queued: `(destination, event)`.
+    outbox: Vec<(u32, Queued)>,
     ops: Vec<(OpKey, GlobalOp)>,
     /// Messages queued by [`Context::send_stream_v2`] this dispatch,
     /// per `(local port, destination)`; BTree-keyed so the flush walks
@@ -517,21 +546,26 @@ impl Lp {
 
     fn next_ctr(&mut self) -> u64 {
         let ctr = self.emitted;
+        assert!(ctr < MAX_EMITTED, "emission counter overflows the event key");
         self.emitted += 1;
         ctr
     }
 
-    /// Keys an event this LP (or the harness, on its behalf) created
-    /// for LP `to`.
-    fn keyed(&mut self, at: SimTime, to: NodeId, ev: LpEvent) -> Queued {
-        let ctr = self.next_ctr();
-        Queued { at, node: to.0, origin: self.id.0, ctr, ev }
+    /// Keys an event this LP (or the harness, on its behalf) created.
+    fn keyed(&mut self, at: SimTime, ev: LpEvent) -> Queued {
+        let seq = (self.id.0 as u64) << 40 | self.next_ctr();
+        Queued { at, seq, ev }
+    }
+
+    /// The key of this LP's next event.
+    fn head_key(&self) -> Option<Key> {
+        self.queue.peek().map(Queued::key)
     }
 
     /// Emits an event for this LP itself.
     fn enqueue(&mut self, at: SimTime, ev: LpEvent) {
-        let q = self.keyed(at, self.id, ev);
-        self.outbox.push(q);
+        let q = self.keyed(at, ev);
+        self.outbox.push((self.id.0, q));
     }
 
     /// Emits a delivery. One to another LP arrives no sooner than one
@@ -539,8 +573,8 @@ impl Lp {
     /// is why the loopback spec is excluded from the lookahead.
     fn route(&mut self, at: SimTime, to: NodeId, ev: LpEvent, lookahead: Duration) {
         let at = if to == self.id { at } else { at.max(self.now + lookahead) };
-        let q = self.keyed(at, to, ev);
-        self.outbox.push(q);
+        let q = self.keyed(at, ev);
+        self.outbox.push((to.0, q));
     }
 
     /// Schedules a global operation one lookahead from now.
@@ -587,8 +621,8 @@ impl Lp {
             // them now. The rest wait for the barrier.
             let mut i = mark;
             while i < self.outbox.len() {
-                if self.outbox[i].node == self.id.0 {
-                    let q = self.outbox.swap_remove(i);
+                if self.outbox[i].0 == self.id.0 {
+                    let (_, q) = self.outbox.swap_remove(i);
                     self.queue.push(q);
                 } else {
                     i += 1;
@@ -1099,11 +1133,98 @@ struct EpochTask {
     horizon: SimTime,
 }
 
-/// Heap of `(head time, node)` entries, earliest first, used by the
-/// epoch loop. Every LP with a non-empty queue has at least one entry
-/// matching its head; entries go stale when the LP consumes or re-times
-/// its head and are dropped lazily when they reach the top.
-type Heads = BinaryHeap<Reverse<(SimTime, u32)>>;
+/// The LPs with pending events, in a binary min-heap on their head
+/// event's key. Each such LP has exactly one entry, and `pos` finds it,
+/// so a head that changes is re-keyed in place.
+#[derive(Default)]
+struct Heads {
+    heap: Vec<(Key, u32)>,
+    /// `pos[node]`: the node's index in `heap`, or `ABSENT`.
+    pos: Vec<u32>,
+    /// Scratch stack for [`Heads::below`].
+    walk: Vec<usize>,
+}
+
+const ABSENT: u32 = u32::MAX;
+
+impl Heads {
+    /// The LP with the smallest head key, and that key.
+    fn first(&self) -> Option<(Key, u32)> {
+        self.heap.first().copied()
+    }
+
+    /// Sets `node`'s head key to `key` (`None`: no pending event).
+    fn set(&mut self, node: u32, key: Option<Key>) {
+        let n = node as usize;
+        if self.pos.len() <= n {
+            self.pos.resize(n + 1, ABSENT);
+        }
+        let at = self.pos[n];
+        match (key, at) {
+            (None, ABSENT) => {}
+            (None, at) => {
+                self.pos[n] = ABSENT;
+                let last = self.heap.pop().expect("indexed node");
+                if (at as usize) < self.heap.len() {
+                    self.place(at as usize, last);
+                }
+            }
+            (Some(key), ABSENT) => {
+                self.heap.push((key, node));
+                self.place(self.heap.len() - 1, (key, node));
+            }
+            (Some(key), at) => self.place(at as usize, (key, node)),
+        }
+    }
+
+    /// Puts `entry` at index `i` and restores the heap order around it.
+    fn place(&mut self, mut i: usize, entry: (Key, u32)) {
+        while i > 0 && self.heap[(i - 1) / 2].0 > entry.0 {
+            self.move_to(i, self.heap[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let left = 2 * i + 1;
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.heap[right].0 < self.heap[left].0 { right } else { left };
+            if child >= self.heap.len() || entry.0 <= self.heap[child].0 {
+                break;
+            }
+            self.move_to(i, self.heap[child]);
+            i = child;
+        }
+        self.move_to(i, entry);
+    }
+
+    fn move_to(&mut self, i: usize, entry: (Key, u32)) {
+        self.heap[i] = entry;
+        self.pos[entry.1 as usize] = i as u32;
+    }
+
+    /// Appends every node whose head key is below `bound` to `out`: a
+    /// walk of the heap that stops at the first entry not below it on
+    /// each path, so it costs O(nodes found).
+    fn below(&mut self, bound: Key, out: &mut Vec<u32>) {
+        self.walk.clear();
+        self.walk.push(0);
+        while let Some(i) = self.walk.pop() {
+            if i < self.heap.len() && self.heap[i].0 < bound {
+                out.push(self.heap[i].1);
+                self.walk.push(2 * i + 1);
+                self.walk.push(2 * i + 2);
+            }
+        }
+    }
+}
+
+/// Queues `q` on `lp`, re-keying the LP if `q` becomes its head.
+fn push_event(lp: &mut Lp, q: Queued, heads: &mut Heads) {
+    let key = q.key();
+    if lp.head_key().is_none_or(|head| key < head) {
+        heads.set(lp.id.0, Some(key));
+    }
+    lp.queue.push(q);
+}
 
 /// The simulator: virtual time, logical processes, network.
 pub struct ShardedSim {
@@ -1120,15 +1241,8 @@ pub struct ShardedSim {
     /// Scheduled global operations in key order.
     global: BTreeMap<OpKey, GlobalOp>,
     gseq: u64,
-    /// Every pending event of the run, in key order. The epoch loop
-    /// deals them out to the LP queues and gathers them back.
-    queue: BinaryHeap<Queued>,
-    /// Harness-created events not yet in `queue`. They join it in one
-    /// batch when the next run starts, so building a large deployment
-    /// does not pay a heap insertion per node.
-    staged: Vec<Queued>,
-    /// The one-worker loop's outbox, lent to the LP it runs.
-    scratch: Vec<Queued>,
+    /// The index over the LP queues, which hold every pending event.
+    heads: Heads,
     workers: usize,
     shards: Option<usize>,
     /// Cached [`NetworkModel::min_cross_node_latency`] (≥ 1 ns); dropped
@@ -1159,9 +1273,7 @@ impl ShardedSim {
             tracing: false,
             global: BTreeMap::new(),
             gseq: 0,
-            queue: BinaryHeap::new(),
-            staged: Vec::new(),
-            scratch: Vec::new(),
+            heads: Heads::default(),
             workers: 1,
             shards: None,
             lookahead: None,
@@ -1275,6 +1387,7 @@ impl ShardedSim {
         profile: ClockProfile,
         actor: Box<dyn Actor>,
     ) -> NodeId {
+        assert!(self.lps.len() < MAX_NODES, "node id overflows the event key");
         let id = NodeId(self.lps.len() as u32);
         let mut rng = StdRng::seed_from_u64(node_seed(self.seed, id));
         let clock = profile.sample(self.now, &mut rng);
@@ -1286,18 +1399,20 @@ impl ShardedSim {
         if self.tracing {
             lp.trace = Some(Vec::new());
         }
+        for (at, ev) in [(self.now, LpEvent::Start), (sync_at, LpEvent::ClockSync)] {
+            let q = lp.keyed(at, ev);
+            lp.queue.push(q);
+        }
+        self.heads.set(id.0, lp.head_key());
         self.lps.push(lp);
-        let now = self.now;
-        self.enqueue(id, now, LpEvent::Start);
-        self.enqueue(id, sync_at, LpEvent::ClockSync);
         id
     }
 
     /// Queues a harness-created event on `node`'s LP.
     fn enqueue(&mut self, node: NodeId, at: SimTime, ev: LpEvent) {
         if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-            let q = lp.keyed(at, node, ev);
-            self.staged.push(q);
+            let q = lp.keyed(at, ev);
+            push_event(lp, q, &mut self.heads);
         }
     }
 
@@ -1447,10 +1562,6 @@ impl ShardedSim {
     /// Runs until virtual time reaches `deadline`, processing every
     /// event scheduled at or before it.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if !self.staged.is_empty() {
-            let mut staged = BinaryHeap::from(std::mem::take(&mut self.staged));
-            self.queue.append(&mut staged);
-        }
         let lookahead = *self
             .lookahead
             .get_or_insert_with(|| self.network.min_cross_node_latency().max(Duration::from_nanos(1)));
@@ -1482,35 +1593,41 @@ impl ShardedSim {
         self.global.pop_first().map(|(_, op)| op)
     }
 
-    /// The one-worker loop: always run the earliest event. What it
-    /// emits goes straight into the run's queue, and global operations
-    /// run as soon as their time comes up.
+    /// The one-worker loop: always run the LP whose head event has the
+    /// smallest key. What it emits goes straight into the LP queues, and
+    /// global operations run as soon as their time comes up.
     fn run_serial(&mut self, deadline: SimTime, lookahead: Duration) {
         loop {
-            let next = self.queue.peek().map(|q| q.at);
-            if let Some(op) = self.due_op(next, deadline) {
+            let next = self.heads.first();
+            let next_at = next.map(|(key, _)| key_time(key));
+            if let Some(op) = self.due_op(next_at, deadline) {
                 apply_op(&mut self.network, &mut self.packet_faults, op, self.lps.iter_mut());
                 continue;
             }
-            if next.is_none_or(|t| t > deadline) {
+            let (Some((_, node)), Some(at)) = (next, next_at.filter(|&t| t <= deadline)) else {
                 break;
-            }
-            let q = self.queue.pop().expect("peeked");
-            self.now = q.at;
+            };
+            self.now = at;
             let env = Env {
                 net: &self.network,
                 pf: self.packet_faults,
                 v2: self.wire_v2,
                 lookahead,
             };
-            let lp = &mut self.lps[q.node as usize];
-            std::mem::swap(&mut lp.outbox, &mut self.scratch);
+            let lp = &mut self.lps[node as usize];
+            let q = lp.queue.pop().expect("indexed head");
             lp.handle(q, env);
-            std::mem::swap(&mut lp.outbox, &mut self.scratch);
+            self.heads.set(node, lp.head_key());
             if !lp.ops.is_empty() {
-                self.global.extend(std::mem::take(&mut lp.ops));
+                self.global.extend(lp.ops.drain(..));
             }
-            self.queue.extend(self.scratch.drain(..));
+            if !lp.outbox.is_empty() {
+                let mut outbox = std::mem::take(&mut lp.outbox);
+                for (to, q) in outbox.drain(..) {
+                    push_event(&mut self.lps[to as usize], q, &mut self.heads);
+                }
+                self.lps[node as usize].outbox = outbox;
+            }
         }
     }
 
@@ -1529,16 +1646,8 @@ impl ShardedSim {
             index[node] = (g, groups[g].len());
             groups[g].push(lp);
         }
-        // Deal the run's events out to their LPs.
-        let mut heads = Heads::with_capacity(n);
-        for q in std::mem::take(&mut self.queue) {
-            let (g, s) = index[q.node as usize];
-            heads.push(Reverse((q.at, q.node)));
-            groups[g][s].queue.push(q);
-        }
+        let mut heads = std::mem::take(&mut self.heads);
         let mut active: Vec<u32> = Vec::new();
-        let mut stamp: Vec<u64> = vec![0; n];
-        let mut epoch: u64 = 0;
         let (task_tx, task_rx) = channel::unbounded::<EpochTask>();
         let (result_tx, result_rx) = channel::unbounded::<(usize, Vec<Lp>, Vec<usize>)>();
         // Per-group active-slot buckets, reused across epochs.
@@ -1565,11 +1674,8 @@ impl ShardedSim {
                 });
             }
             loop {
-                epoch += 1;
-                let Some(horizon) = self.next_epoch(
-                    &mut groups, &index, &mut heads, deadline, lookahead, &mut active, &mut stamp,
-                    epoch,
-                ) else {
+                let Some(horizon) = self.next_epoch(&mut groups, &mut heads, deadline, lookahead, &mut active)
+                else {
                     break;
                 };
                 for &node in &active {
@@ -1599,9 +1705,7 @@ impl ShardedSim {
                     groups[gidx] = lps;
                     for slot in slots {
                         let lp = &groups[gidx][slot];
-                        if let Some(q) = lp.queue.peek() {
-                            heads.push(Reverse((q.at, lp.id.0)));
-                        }
+                        heads.set(lp.id.0, lp.head_key());
                     }
                 }
                 self.barrier(&mut groups, &index, &active, &mut heads);
@@ -1612,10 +1716,10 @@ impl ShardedSim {
             }
             drop(task_tx);
         });
-        // Put the LPs back in node order and gather their events.
+        // Put the LPs back in node order.
+        self.heads = heads;
         let mut slots: Vec<Option<Lp>> = (0..n).map(|_| None).collect();
-        for mut lp in groups.into_iter().flatten() {
-            self.queue.extend(std::mem::take(&mut lp.queue));
+        for lp in groups.into_iter().flatten() {
             let i = lp.id.0 as usize;
             slots[i] = Some(lp);
         }
@@ -1634,34 +1738,16 @@ impl ShardedSim {
     /// inside it. The horizon additionally never crosses the next global
     /// operation nor `deadline` (events *at* the deadline run, hence the
     /// +1 ns).
-    #[allow(clippy::too_many_arguments)]
     fn next_epoch(
         &mut self,
         groups: &mut [Vec<Lp>],
-        index: &[(usize, usize)],
         heads: &mut Heads,
         deadline: SimTime,
         lookahead: Duration,
         active: &mut Vec<u32>,
-        stamp: &mut [u64],
-        epoch: u64,
     ) -> Option<SimTime> {
-        let head_at = |groups: &[Vec<Lp>], node: u32| {
-            let (g, s) = index[node as usize];
-            groups[g][s].queue.peek().map(|q| q.at)
-        };
         loop {
-            let m = loop {
-                match heads.peek() {
-                    None => break None,
-                    Some(&Reverse((t, node))) => {
-                        if head_at(groups, node) == Some(t) {
-                            break Some(t);
-                        }
-                        heads.pop();
-                    }
-                }
-            };
+            let m = heads.first().map(|(key, _)| key_time(key));
             if let Some(op) = self.due_op(m, deadline) {
                 apply_op(&mut self.network, &mut self.packet_faults, op, groups.iter_mut().flatten());
                 continue;
@@ -1674,19 +1760,8 @@ impl ShardedSim {
             if let Some((&(at, _, _), _)) = self.global.first_key_value() {
                 horizon = horizon.min(at);
             }
-            // Drain every heap entry below the horizon; the valid ones
-            // name exactly the LPs with work this epoch.
             active.clear();
-            while let Some(&Reverse((t, node))) = heads.peek() {
-                if t >= horizon {
-                    break;
-                }
-                heads.pop();
-                if head_at(groups, node) == Some(t) && stamp[node as usize] != epoch {
-                    stamp[node as usize] = epoch;
-                    active.push(node);
-                }
-            }
+            heads.below((horizon.as_nanos() as Key) << 64, active);
             active.sort_unstable();
             return Some(horizon);
         }
@@ -1703,10 +1778,9 @@ impl ShardedSim {
             for (key, op) in lp.ops.drain(..) {
                 self.global.insert(key, op);
             }
-            for q in std::mem::take(&mut lp.outbox) {
-                let (dg, di) = index[q.node as usize];
-                heads.push(Reverse((q.at, q.node)));
-                groups[dg][di].queue.push(q);
+            for (to, q) in std::mem::take(&mut lp.outbox) {
+                let (dg, di) = index[to as usize];
+                push_event(&mut groups[dg][di], q, heads);
             }
         }
     }
@@ -2190,6 +2264,32 @@ mod tests {
         for g in 0..2 {
             let size = plan.assignment.iter().filter(|&&a| a == g).count();
             assert!(size <= 2, "group {g} holds {size} > cap");
+        }
+    }
+
+    #[test]
+    fn heads_index_tracks_every_rekey() {
+        // Random inserts, re-keys up and down, and removals, checked
+        // after each step against a plain map of the same entries.
+        let mut heads = Heads::default();
+        let mut model: BTreeMap<u32, Key> = BTreeMap::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..5_000 {
+            let node = rng.gen_range(0..40u32);
+            let key = if rng.gen_bool(0.2) { None } else { Some((rng.gen_range(0..1_000u64) as Key) << 64 | node as Key) };
+            heads.set(node, key);
+            match key {
+                Some(k) => model.insert(node, k),
+                None => model.remove(&node),
+            };
+            let smallest = model.iter().map(|(&n, &k)| (k, n)).min();
+            assert_eq!(heads.first(), smallest);
+            let bound = (rng.gen_range(0..1_000u64) as Key) << 64;
+            let mut below = Vec::new();
+            heads.below(bound, &mut below);
+            below.sort_unstable();
+            let expected: Vec<u32> = model.iter().filter(|(_, &k)| k < bound).map(|(&n, _)| n).collect();
+            assert_eq!(below, expected);
         }
     }
 
